@@ -220,7 +220,9 @@ func BenchmarkPairwise(b *testing.B) {
 }
 
 // BenchmarkCoreCycles measures raw simulator speed: cycles per second with
-// three threads resident.
+// three threads resident, and committed instructions per second — the unit
+// comparable across benchmarks, since skip-ahead inflates sim_cycles/sec
+// by however many quiescent cycles a workload has.
 func BenchmarkCoreCycles(b *testing.B) {
 	cfg := arch.Default21264(3)
 	c, err := cpu.New(cfg)
@@ -233,24 +235,28 @@ func BenchmarkCoreCycles(b *testing.B) {
 		c.Attach(i, job.Source(0), 0, nil, 0)
 	}
 	c.Run(200_000) // warm
+	warm := c.Snapshot().Committed
 	b.ResetTimer()
 	c.Run(uint64(b.N))
 	b.StopTimer()
 	b.ReportMetric(float64(c.Snapshot().Committed)/float64(c.Cycle()), "IPC")
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sim_cycles/sec")
+	b.ReportMetric(float64(c.Snapshot().Committed-warm)/b.Elapsed().Seconds(), "committed_insts/sec")
 }
 
 // BenchmarkBatchEval measures batched coschedule evaluation: four
 // identically-warmed machines advanced through a symbios run as one
 // core.EvalBatch work item (the unit the experiment fan-outs hand to a
-// worker).
+// worker). Building the machines and their jobs is off the clock, so
+// ns/op and allocs/op are the batch run alone.
 func BenchmarkBatchEval(b *testing.B) {
 	mix := workload.MustMix("Jsb(4,2,2)")
 	cfg := arch.Default21264(mix.SMTLevel)
 	s := schedule.Schedule{Order: []int{0, 1, 2, 3}, Y: mix.SMTLevel, Z: mix.Swap}
 	b.ReportAllocs()
-	simCycles := uint64(0)
+	simCycles, committed := uint64(0), uint64(0)
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		var batch core.EvalBatch
 		ms := make([]*core.Machine, 4)
 		for k := range ms {
@@ -267,18 +273,22 @@ func BenchmarkBatchEval(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.StartTimer()
 		res, err := batch.Run(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, r := range res {
 			simCycles += r.Cycles
+			committed += r.Counters.Committed
 		}
 	}
 	b.ReportMetric(float64(simCycles)/b.Elapsed().Seconds(), "sim_cycles/sec")
+	b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "committed_insts/sec")
 }
 
-// BenchmarkTraceAt measures synthetic stream generation.
+// BenchmarkTraceAt measures synthetic stream generation one instruction
+// per call.
 func BenchmarkTraceAt(b *testing.B) {
 	spec := workload.MustLookup("GCC")
 	s, err := trace.NewStream(spec.Params, 1, 0)
@@ -291,6 +301,22 @@ func BenchmarkTraceAt(b *testing.B) {
 		sink = s.At(uint64(i))
 	}
 	_ = sink
+}
+
+// BenchmarkTraceFill measures synthetic stream generation in the bulk form
+// the fetch ring uses; one op is one instruction, so ns/op compares
+// directly with BenchmarkTraceAt.
+func BenchmarkTraceFill(b *testing.B) {
+	spec := workload.MustLookup("GCC")
+	s, err := trace.NewStream(spec.Params, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf [32]trace.Inst
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(buf) {
+		s.Fill(uint64(i), buf[:min(len(buf), b.N-i)])
+	}
 }
 
 // BenchmarkScheduleSample measures distinct-schedule sampling for a large

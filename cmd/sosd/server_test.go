@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"symbios/internal/checkpoint"
+	"symbios/internal/daemontest"
 	"symbios/internal/experiments"
 	"symbios/internal/faults"
 	"symbios/internal/leakcheck"
@@ -22,7 +23,22 @@ import (
 	"symbios/internal/resilience"
 )
 
-func TestMain(m *testing.M) { os.Exit(leakcheck.MainRun(m.Run)) }
+func TestMain(m *testing.M) {
+	if daemontest.Child() {
+		os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+	}
+	os.Exit(leakcheck.MainRun(m.Run))
+}
+
+// TestSIGTERMAtReady: a SIGTERM sent the moment sosd announces its address
+// drains the server and exits 0 — the handler is installed before the
+// announcement, so there is no window in which the signal kills the
+// process.
+func TestSIGTERMAtReady(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		daemontest.TermAtReady(t, "-addr", "127.0.0.1:0")
+	}
+}
 
 // testScale is a tiny budget so a request answers in tens of milliseconds.
 func testScale() experiments.Scale {

@@ -197,6 +197,13 @@ Flags:
 	httpSrv := &http.Server{Handler: front.Handler()}
 	front.Start()
 
+	// The handler goes in before the address line: a supervisor may signal
+	// the moment it reads the address, and until Notify the default action
+	// kills the process instead of draining it.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+
 	// The address line is a contract: scripts/fleetsoak.sh parses it to find
 	// a dynamically chosen port.
 	logger.Printf("listening on %s", ln.Addr())
@@ -204,10 +211,6 @@ Flags:
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
 
 	select {
 	case sig := <-sigs:

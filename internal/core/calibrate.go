@@ -24,7 +24,10 @@ const soloBatch = 4
 //
 // The calibration jobs are rebuilt from the originals' specs and seeds so
 // the mix's own progress is untouched; streams are pure functions, so the
-// rebuilt job replays identically.
+// rebuilt job replays identically. Each job runs on a core with exactly as
+// many contexts as it has threads: the kernel reads cfg.Contexts only to
+// size its per-context arrays, so the rates do not depend on it, and a job
+// calibrates identically for every SMT level that can hold it.
 func SoloRates(cfg arch.Config, jobs []*workload.Job, seeds []uint64, warmup, measure uint64) ([]float64, error) {
 	if len(jobs) != len(seeds) {
 		return nil, fmt.Errorf("core: %d jobs but %d seeds", len(jobs), len(seeds))
@@ -81,7 +84,9 @@ func soloGroup(cfg arch.Config, jobs []*workload.Job, seeds []uint64, warmup, me
 		if err != nil {
 			return nil, fmt.Errorf("core: calibrating %s: %w", j.Name(), err)
 		}
-		c, err := cpu.New(cfg)
+		jcfg := cfg
+		jcfg.Contexts = r.Threads()
+		c, err := cpu.New(jcfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: calibrating %s: %w", j.Name(), err)
 		}

@@ -59,9 +59,11 @@ import (
 )
 
 // Source supplies a thread's dynamic instruction stream. At must be a pure
-// function of seq (see internal/trace).
+// function of seq (see internal/trace). Fill is the bulk form fetch uses:
+// it must leave dst[i] == At(seq+i) for every i, overwriting every field.
 type Source interface {
 	At(seq uint64) trace.Inst
+	Fill(seq uint64, dst []trace.Inst)
 }
 
 // SyncGate coordinates SYNC (barrier) instructions between threads of a
@@ -73,6 +75,9 @@ type SyncGate interface {
 }
 
 const noSeq = math.MaxUint64
+
+// ringSize is how many decoded instructions each context's fetch ring holds.
+const ringSize = 32
 
 // uopState tracks an instruction's progress through the pipeline.
 type uopState = uint8
@@ -155,12 +160,16 @@ type Core struct {
 	tCurLine   []uint64 // last icache line fetched (1 + line address; 0 = none)
 	tGen       []uint32 // attach generation; survives detach
 
-	// One-instruction fetch memo per context. Fetch often breaks on a line
-	// fill, a full window, or a structural latch and retries the same seq
-	// next cycle; sources are pure functions of seq, so the regenerated
-	// instruction is identical and the (expensive) generation is skipped.
-	tMemoSeq []uint64 // seq the memo holds, or noSeq
-	tMemoIn  []trace.Inst
+	// Per-context ring of decoded instructions ahead of fetch: context ctx
+	// owns ring[ctx*ringSize:][:ringSize], holding instructions
+	// tRingBase[ctx] .. tRingBase[ctx]+tRingLen[ctx]-1. Fetch reads it by
+	// pointer and refills it with one Source.Fill when seq runs past its
+	// end. Sources are pure functions of seq, so an instruction decoded
+	// ahead, or re-read when fetch retries the same seq after a line fill
+	// or structural stall, is identical to a fresh At. Attach empties it.
+	ring      []trace.Inst
+	tRingBase []uint64
+	tRingLen  []uint64
 
 	liveCount int
 
@@ -249,8 +258,9 @@ func New(cfg arch.Config) (*Core, error) {
 		tBarrier:   make([]uint64, n),
 		tCurLine:   make([]uint64, n),
 		tGen:       make([]uint32, n),
-		tMemoSeq:   make([]uint64, n),
-		tMemoIn:    make([]trace.Inst, n),
+		ring:       make([]trace.Inst, n*ringSize),
+		tRingBase:  make([]uint64, n),
+		tRingLen:   make([]uint64, n),
 
 		intQ:        make([]qent, 0, cfg.IntQueue),
 		fpQ:         make([]qent, 0, cfg.FPQueue),
@@ -296,9 +306,6 @@ func New(cfg arch.Config) (*Core, error) {
 	for i := range c.wakeHead {
 		c.wakeHead[i] = -1
 	}
-	for i := range c.tMemoSeq {
-		c.tMemoSeq[i] = noSeq
-	}
 	c.updateSkipOK()
 	return c, nil
 }
@@ -342,7 +349,7 @@ func (c *Core) Attach(ctx int, src Source, startSeq uint64, gate SyncGate, threa
 	c.tWait[ctx] = noSeq
 	c.tBarrier[ctx] = noSeq
 	c.tCurLine[ctx] = 0
-	c.tMemoSeq[ctx] = noSeq
+	c.tRingLen[ctx] = 0
 	c.liveCount++
 	c.updateSkipOK()
 	c.bp.ResetHistory(ctx)
@@ -904,7 +911,7 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 		mutated = true
 	}
 	base := ctx << c.winShift
-	src := c.tSrc[ctx]
+	ring := c.ring[ctx*ringSize:][:ringSize]
 	seq := c.tSeq[ctx]
 	head, count := c.tHead[ctx], c.tCount[ctx]
 	curLine := c.tCurLine[ctx]
@@ -915,14 +922,13 @@ func (c *Core) fetchThread(ctx, max int) (fetched int, attempted, mutated bool) 
 			c.conf |= 1 << counters.Scoreboard
 			break
 		}
-		var in trace.Inst
-		if c.tMemoSeq[ctx] == seq {
-			in = c.tMemoIn[ctx]
-		} else {
-			in = src.At(seq)
-			c.tMemoSeq[ctx] = seq
-			c.tMemoIn[ctx] = in
+		k := seq - c.tRingBase[ctx]
+		if k >= c.tRingLen[ctx] {
+			c.tSrc[ctx].Fill(seq, ring)
+			c.tRingBase[ctx], c.tRingLen[ctx] = seq, ringSize
+			k = 0
 		}
+		in := &ring[k]
 
 		if in.Op == trace.SYNC {
 			idx := in.Seq // barrier ordinal is encoded in Seq by the workload wrapper

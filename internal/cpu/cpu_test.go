@@ -92,6 +92,29 @@ func (s syncSource) At(seq uint64) trace.Inst {
 	return s.base.At(seq)
 }
 
+func (s syncSource) Fill(seq uint64, dst []trace.Inst) {
+	for i := range dst {
+		dst[i] = s.At(seq + uint64(i))
+	}
+}
+
+// TestSourceFillMatchesAt: the test sources honour the Source contract the
+// fetch ring relies on — Fill(seq, dst) leaves dst[i] == At(seq+i), across
+// SYNC markers and from seq 0.
+func TestSourceFillMatchesAt(t *testing.T) {
+	for _, src := range []Source{mkSource(t, "GCC", 3, 0), mkSyncSource(t, 5, 1, 7)} {
+		dst := make([]trace.Inst, ringSize+3)
+		for seq := uint64(0); seq < 64; seq++ {
+			src.Fill(seq, dst)
+			for i, in := range dst {
+				if in != src.At(seq+uint64(i)) {
+					t.Fatalf("%T: Fill(%d) element %d differs from At", src, seq, i)
+				}
+			}
+		}
+	}
+}
+
 // testGate is a two-thread barrier (mirrors workload.BarrierGroup).
 type testGate struct{ arrived [2]uint64 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"symbios/internal/arch"
+	"symbios/internal/trace"
 )
 
 // TestDetachInflightPurge detaches a thread at a point where both queues
@@ -110,5 +111,37 @@ func TestDetachInflightPurge(t *testing.T) {
 	c.Run(5_000)
 	if c.tCommitted[victim] == 0 {
 		t.Fatal("reattached thread made no progress")
+	}
+}
+
+// fillLog is a Source that records the sequence number of every Fill.
+type fillLog struct {
+	Source
+	fills []uint64
+}
+
+func (f *fillLog) Fill(seq uint64, dst []trace.Inst) {
+	f.fills = append(f.fills, seq)
+	f.Source.Fill(seq, dst)
+}
+
+// TestAttachEmptiesFetchRing: a context re-attached to a different stream
+// at a sequence number inside the previous stream's decoded window must
+// fetch from the new stream — Attach empties the ring, so the first fetch
+// refills it from the new source at the resume point.
+func TestAttachEmptiesFetchRing(t *testing.T) {
+	c := mustCore(t, arch.Default21264(1))
+	c.Attach(0, mkSource(t, "GCC", 31, 0), 0, nil, 0)
+	c.Run(5_000)
+	resume, _ := c.Detach(0)
+	if c.tRingLen[0] == 0 || resume < c.tRingBase[0] || resume >= c.tRingBase[0]+c.tRingLen[0] {
+		t.Fatalf("resume %d outside the old ring window [%d,+%d); the test needs it inside",
+			resume, c.tRingBase[0], c.tRingLen[0])
+	}
+	next := &fillLog{Source: mkSource(t, "FP", 32, 1)}
+	c.Attach(0, next, resume, nil, 0)
+	c.Run(1)
+	if len(next.fills) == 0 || next.fills[0] != resume {
+		t.Fatalf("new stream filled at %v, want a first fill at the resume point %d", next.fills, resume)
 	}
 }

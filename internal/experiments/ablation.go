@@ -138,7 +138,7 @@ func AblationFetchPolicyCtx(ctx context.Context, sc Scale) ([]FetchPolicyRow, er
 		if err != nil {
 			return FetchPolicyRow{}, err
 		}
-		solo, err := core.SoloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
+		solo, err := soloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
 		if err != nil {
 			return FetchPolicyRow{}, err
 		}

@@ -42,7 +42,7 @@ func ColdstartStudyCtx(ctx context.Context, sc Scale, slices []uint64) ([]Coldst
 	if err != nil {
 		return nil, err
 	}
-	solo, err := core.SoloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
+	solo, err := soloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
 	if err != nil {
 		return nil, err
 	}

@@ -174,7 +174,7 @@ func hierLevel(ctx context.Context, level int, sc Scale) (Figure4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		soloTask, err := core.SoloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
+		soloTask, err := soloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
 		if err != nil {
 			return nil, err
 		}

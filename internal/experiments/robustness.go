@@ -135,7 +135,7 @@ func robustnessCell(ctx context.Context, label string, fc faults.Config, churn [
 	if err != nil {
 		return RobustnessRow{}, err
 	}
-	solo, err := core.SoloRates(cfg, calJobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
+	solo, err := soloRates(cfg, calJobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
 	if err != nil {
 		return RobustnessRow{}, fmt.Errorf("experiments: %s: %w", label, err)
 	}
@@ -282,7 +282,7 @@ func resolveChurn(specs []faults.ChurnSpec, cfg arch.Config, sc Scale, symSlices
 			if err != nil {
 				return nil, err
 			}
-			soloArr, err := core.SoloRates(cfg, []*workload.Job{cal}, []uint64{jseed}, sc.CalibWarmup, sc.CalibMeasure)
+			soloArr, err := soloRates(cfg, []*workload.Job{cal}, []uint64{jseed}, sc.CalibWarmup, sc.CalibMeasure)
 			if err != nil {
 				return nil, err
 			}

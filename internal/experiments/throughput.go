@@ -80,7 +80,7 @@ func EvalMixSchedulesCtx(ctx context.Context, mix workload.Mix, scheds []schedul
 		return nil, err
 	}
 	endCal := tr.Span("sos/calibrate", mix.Label)
-	solo, err := core.SoloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
+	solo, err := soloRates(cfg, jobs, seeds, sc.CalibWarmup, sc.CalibMeasure)
 	endCal()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", mix.Label, err)

@@ -264,6 +264,23 @@ func (s *Stream) Params() Params { return s.params }
 
 // At returns instruction seq of the stream.
 func (s *Stream) At(seq uint64) Inst {
+	var in Inst
+	s.gen(seq, &in)
+	return in
+}
+
+// Fill writes instructions seq, seq+1, ... into dst, one per element:
+// dst[i] == At(seq+i). Generation writes each element in place, so a
+// consumer decoding a run of instructions pays neither a call nor a copy
+// per instruction.
+func (s *Stream) Fill(seq uint64, dst []Inst) {
+	for i := range dst {
+		s.gen(seq+uint64(i), &dst[i])
+	}
+}
+
+// gen writes instruction seq into *out, overwriting every field.
+func (s *Stream) gen(seq uint64, out *Inst) {
 	// One counter-based draw per instruction; cheap derived draws for each
 	// independent decision.
 	h := rng.Hash2(s.seed, seq, 0)
@@ -271,7 +288,8 @@ func (s *Stream) At(seq uint64) Inst {
 	r1 := rng.Hash(h, 1)
 	r2 := rng.Hash(h, 2)
 
-	in := Inst{Seq: seq, PC: s.pcAt(seq)}
+	*out = Inst{Seq: seq, PC: s.pcAt(seq)}
+	in := out
 
 	u := r0 >> 11
 	switch {
@@ -306,7 +324,6 @@ func (s *Stream) At(seq uint64) Inst {
 	if s.thrSecondDep > 0 && rng.Hash(h, 4)>>11 < s.thrSecondDep {
 		in.Dep2 = s.depAt(seq, rng.Hash(h, 5))
 	}
-	return in
 }
 
 // depAt draws a producer distance in [1, min(seq, MaxDep)]; 0 if seq == 0.

@@ -281,3 +281,35 @@ func TestOpString(t *testing.T) {
 		t.Error("unknown op stringifies empty")
 	}
 }
+
+// TestFillMatchesAt: the bulk form writes exactly the instructions At
+// returns, overwriting stale contents of the destination, for windows
+// starting at seq 0 and at arbitrary positions.
+func TestFillMatchesAt(t *testing.T) {
+	s := mustStream(t, testParams(), 42, 3)
+	ref := mustStream(t, testParams(), 42, 3)
+	check := func(seq uint64, n int) bool {
+		dst := make([]Inst, n)
+		for i := range dst {
+			// Stale garbage Fill must overwrite field by field.
+			dst[i] = Inst{Op: SYNC, Seq: 1, Dep1: 2, Dep2: 3, Addr: 4, PC: 5, Taken: true}
+		}
+		s.Fill(seq, dst)
+		for i, in := range dst {
+			if in != ref.At(seq+uint64(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, seq := range []uint64{0, 1, 7, 1 << 20} {
+		for _, n := range []int{0, 1, 8, 32, 33} {
+			if !check(seq, n) {
+				t.Errorf("Fill(%d, [%d]) differs from At", seq, n)
+			}
+		}
+	}
+	if err := quick.Check(func(seq uint32, n uint8) bool { return check(uint64(seq), int(n%64)) }, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -110,6 +110,27 @@ func (s threadSource) At(seq uint64) trace.Inst {
 	return s.base.At(seq)
 }
 
+// Fill writes instructions seq.. into dst: runs of the base stream with the
+// SYNC markers spliced in at their positions.
+func (s threadSource) Fill(seq uint64, dst []trace.Inst) {
+	if s.syncEvery == 0 {
+		s.base.Fill(seq, dst)
+		return
+	}
+	for len(dst) > 0 {
+		// Markers sit at the positions ≡ syncEvery-1 (mod syncEvery); mark
+		// is the first at or after seq.
+		mark := (seq/s.syncEvery+1)*s.syncEvery - 1
+		n := min(mark-seq, uint64(len(dst)))
+		s.base.Fill(seq, dst[:n])
+		if n == uint64(len(dst)) {
+			return
+		}
+		dst[n] = trace.Inst{Op: trace.SYNC, Seq: mark / s.syncEvery}
+		seq, dst = mark+1, dst[n+1:]
+	}
+}
+
 // BarrierGroup coordinates the threads of one multithreaded job. A thread
 // may pass barrier k only once every sibling has arrived at barrier k.
 // TryPass is idempotent, which matters because a squashed thread re-arrives

@@ -63,6 +63,25 @@ func (ps *PhasedSource) At(seq uint64) trace.Inst {
 	return ps.phases[len(ps.phases)-1].stream.At(seq)
 }
 
+// Fill writes instructions seq.. into dst, split at the switch points so
+// each run comes from the profile active over it.
+func (ps *PhasedSource) Fill(seq uint64, dst []trace.Inst) {
+	for _, ph := range ps.phases {
+		if len(dst) == 0 {
+			return
+		}
+		if seq >= ph.until {
+			continue
+		}
+		n := uint64(len(dst))
+		if ph.until-seq < n {
+			n = ph.until - seq
+		}
+		ph.stream.Fill(seq, dst[:n])
+		seq, dst = seq+n, dst[n:]
+	}
+}
+
 // Phases returns the number of profiles.
 func (ps *PhasedSource) Phases() int { return len(ps.phases) }
 

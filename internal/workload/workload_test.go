@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"symbios/internal/cpu"
 	"symbios/internal/trace"
 )
 
@@ -327,5 +329,68 @@ func TestPhasedSource(t *testing.T) {
 	}
 	if _, err := NewPhasedSource([]trace.Params{fpOnly, intOnly, fpOnly}, []uint64{50, 40}, 1, 1); err == nil {
 		t.Error("non-ascending switch points accepted")
+	}
+}
+
+// fillMatchesAt reports the first window position where src.Fill(seq, ·)
+// of length n disagrees with src.At, or -1.
+func fillMatchesAt(src cpu.Source, seq uint64, n int) int {
+	dst := make([]trace.Inst, n)
+	for i := range dst {
+		dst[i] = trace.Inst{Op: trace.SYNC, Seq: 99, Dep1: 1, Addr: 2, PC: 3, Taken: true}
+	}
+	src.Fill(seq, dst)
+	for i, in := range dst {
+		if in != src.At(seq+uint64(i)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestSourcesFillMatchesAt: every workload Source fills exactly what At
+// returns — thread sources with SYNC markers spliced in (windows starting
+// on, just before and just after a marker, and at seq 0), and phased
+// sources split at their switch points.
+func TestSourcesFillMatchesAt(t *testing.T) {
+	srcs := map[string]cpu.Source{}
+	for _, every := range []uint64{0, 1, 2, 5, 31, 32, 33, 1000} {
+		spec := MustLookup("ARRAY")
+		spec.SyncEvery = every
+		j := MustNewJob(spec, 1, 77)
+		srcs[fmt.Sprintf("ARRAY/sync%d", every)] = j.Source(1)
+	}
+	ps, err := NewPhasedSource([]trace.Params{MustLookup("EP").Params, MustLookup("GO").Params, MustLookup("MG").Params},
+		[]uint64{5, 40}, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs["phased"] = ps
+	one, err := NewPhasedSource([]trace.Params{MustLookup("GCC").Params}, nil, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs["phased/one"] = one
+
+	// Every start in [0, 80) with lengths up to past two ring widths covers
+	// every marker offset for the small intervals and both switch points.
+	for name, src := range srcs {
+		for seq := uint64(0); seq < 80; seq++ {
+			for _, n := range []int{0, 1, 2, 5, 32, 65} {
+				if i := fillMatchesAt(src, seq, n); i >= 0 {
+					t.Fatalf("%s: Fill(%d, [%d]) element %d differs from At", name, seq, n, i)
+				}
+			}
+		}
+		// And around a far marker of the 1000-interval source.
+		for seq := uint64(960); seq < 1010; seq++ {
+			if i := fillMatchesAt(src, seq, 40); i >= 0 {
+				t.Fatalf("%s: Fill(%d, [40]) element %d differs from At", name, seq, i)
+			}
+		}
+		f := func(seq uint32, n uint8) bool { return fillMatchesAt(src, uint64(seq), int(n%70)) < 0 }
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

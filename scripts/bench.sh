@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # bench.sh — run the root and per-stage benchmarks and emit a
 # BENCH_<date>.json perf snapshot (min/median ns/op, allocs/op, B/op,
-# reported metrics per table/figure, sim_cycles/sec for the simulator hot
-# loop, and the cold Figure-1 sweep wall-clock) so future optimisation PRs
-# have a trajectory to compare against.
+# reported metrics per table/figure, sim_cycles/sec and committed_insts/sec
+# for the simulator hot loop — the latter comparable across benchmarks, as
+# skip-ahead inflates the former — and the cold Figure-1 sweep wall-clock)
+# so future optimisation PRs have a trajectory to compare against.
 #
 # Usage:
 #   scripts/bench.sh [bench-regex] [benchtime] [count]
@@ -27,7 +28,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${1:-BenchmarkCoreCycles|BenchmarkTraceAt|BenchmarkScheduleSample|BenchmarkSOSRun|BenchmarkFetch|BenchmarkIssue|BenchmarkRetire|BenchmarkBatchEval}"
+PATTERN="${1:-BenchmarkCoreCycles|BenchmarkTraceAt|BenchmarkTraceFill|BenchmarkScheduleSample|BenchmarkSOSRun|BenchmarkFetch|BenchmarkIssue|BenchmarkRetire|BenchmarkBatchEval}"
 BENCHTIME="${2:-1s}"
 COUNT="${3:-5}"
 FIG1="${BENCH_FIG1:-1}"
